@@ -7,16 +7,20 @@ package gorace_test
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"testing"
 	"time"
 
 	"gorace/internal/core"
+	"gorace/internal/corpus"
 	"gorace/internal/corpusgen"
 	"gorace/internal/detector"
 	"gorace/internal/explore"
 	"gorace/internal/fleet"
+	"gorace/internal/monorepo"
 	"gorace/internal/patterns"
 	"gorace/internal/pipeline"
 	"gorace/internal/report"
@@ -439,6 +443,7 @@ func BenchmarkAblationHybridVsHB(b *testing.B) {
 // one machine.
 
 func BenchmarkRunBatchSerial(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p, err := core.DetectionProbability(heavyProgram, core.Config{
 			MaxSteps: 1 << 18, Seed: int64(i),
@@ -655,6 +660,36 @@ func BenchmarkSweepCampaign(b *testing.B) {
 		}
 		if stats.Runs != len(units)*16 || len(aggs[1].(*sweep.Corpus).Detections()) == 0 {
 			b.Fatalf("campaign lost work: %+v", stats)
+		}
+	}
+}
+
+// BenchmarkNightlyRun runs the paper's nightly loop at the size where
+// per-execution fixed costs dominate: a 50-service × 40-test monorepo
+// (40% racy, raced's default), three consecutive RunNightly calls per
+// op, each folded into a fresh on-disk store and diffed against the
+// night before. 2000 tiny executions per night.
+func BenchmarkNightlyRun(b *testing.B) {
+	repo := monorepo.Generate(50, 40, 0.4, 1)
+	dir := b.TempDir()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		store, err := corpus.Open(filepath.Join(dir, fmt.Sprintf("nightly-%d.db", i)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for night := 0; night < 3; night++ {
+			n, err := repo.RunNightly(store, fmt.Sprintf("night-%d", night), int64(i*3+night))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if n.Executions != 2000 {
+				b.Fatalf("night %d ran %d executions, want 2000", night, n.Executions)
+			}
+		}
+		if err := store.Close(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -18,7 +18,7 @@ package sched
 
 import (
 	"fmt"
-	"math/rand"
+	"strconv"
 
 	"gorace/internal/stack"
 	"gorace/internal/trace"
@@ -104,7 +104,7 @@ type Scheduler struct {
 	runnable  []*G
 	listeners trace.Multi
 	strategy  Strategy
-	rng       *rand.Rand
+	rng       *seededRand // pooled; returned when Run ends
 	parked    chan struct{}
 	seq       uint64
 	steps     int
@@ -130,6 +130,10 @@ func Run(main func(g *G), opts Options) *Result {
 	s := newScheduler(opts)
 	s.spawn(nil, "main", main)
 	s.loop()
+	// Every modeled goroutine has finished, so nothing draws from the
+	// run RNG any more.
+	putRand(s.rng)
+	s.rng = nil
 	s.result.Steps = s.steps
 	s.result.Goroutines = len(s.gs)
 	s.result.Events = s.seq
@@ -149,7 +153,7 @@ func newScheduler(opts Options) *Scheduler {
 	s := &Scheduler{
 		listeners: trace.Multi(opts.Listeners),
 		strategy:  st,
-		rng:       rand.New(rand.NewSource(opts.Seed)),
+		rng:       getRand(opts.Seed),
 		parked:    make(chan struct{}),
 		maxSteps:  maxSteps,
 		nextAddr:  1,
@@ -163,7 +167,7 @@ func newScheduler(opts Options) *Scheduler {
 func (s *Scheduler) spawn(parent *G, name string, fn func(*G)) *G {
 	path := "0"
 	if parent != nil {
-		path = fmt.Sprintf("%s.%d", parent.path, parent.spawnN)
+		path = parent.path + "." + strconv.Itoa(parent.spawnN)
 		parent.spawnN++
 	}
 	g := &G{
@@ -177,7 +181,7 @@ func (s *Scheduler) spawn(parent *G, name string, fn func(*G)) *G {
 	}
 	s.gs = append(s.gs, g)
 	s.runnable = append(s.runnable, g)
-	s.strategy.OnSpawn(g.id, s.rng)
+	s.strategy.OnSpawn(g.id, s.rng.Rand)
 	if parent != nil {
 		s.emit(parent, trace.Event{Op: trace.OpFork, Child: g.id})
 	}
@@ -223,7 +227,7 @@ func (s *Scheduler) loop() {
 			s.abortAll()
 			return
 		}
-		idx := s.strategy.Pick(s.runnable, s.steps, s.rng)
+		idx := s.strategy.Pick(s.runnable, s.steps, s.rng.Rand)
 		if idx < 0 || idx >= len(s.runnable) {
 			idx = 0
 		}

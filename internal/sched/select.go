@@ -93,7 +93,7 @@ func (g *G) Select(cases ...SelectCase) int {
 			}
 		}
 		if len(ready) > 0 {
-			pick := g.s.strategy.Choose(len(ready), g.s.rng)
+			pick := g.s.strategy.Choose(len(ready), g.s.rng.Rand)
 			if pick < 0 || pick >= len(ready) {
 				pick = 0
 			}

@@ -12,7 +12,9 @@ import (
 // Strategies receive the shared run RNG, so a fixed Options.Seed fully
 // determines the schedule — the property that makes flakiness (§3.2.1)
 // measurable: run the same program under many seeds and count in how
-// many schedules the race manifests.
+// many schedules the race manifests. The rng argument is valid only
+// for the duration of the call: the scheduler recycles it when the run
+// ends, so a strategy must not retain it.
 type Strategy interface {
 	// Name identifies the strategy in experiment output.
 	Name() string
@@ -112,11 +114,12 @@ func (p *PCT) Reset(seed int64) {
 	p.prios = make(map[vclock.TID]int)
 	p.nextPrio = 0
 	p.minPrio = 0
-	rng := rand.New(rand.NewSource(seed ^ 0x9e3779b9))
+	rng := getRand(seed ^ 0x9e3779b9)
 	p.changePoints = make(map[int]bool, p.Depth)
 	for len(p.changePoints) < p.Depth {
 		p.changePoints[rng.Intn(p.StepEstimate)] = true
 	}
+	putRand(rng)
 }
 
 // OnSpawn implements Strategy.

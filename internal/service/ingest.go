@@ -138,13 +138,20 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// mid-body (the server reads it as a dead client and cancels that
 	// request's context). If the ingest failed with the stream only
 	// part-consumed, kick the copier out here instead.
-	if !unblock() && !cancelled {
+	fired := !unblock()
+	if fired && !cancelled {
 		// Raced with cancellation after Ingest returned; treat as done.
 		cancelled = ctx.Err() != nil
 	}
 	if err != nil {
 		pr.CloseWithError(err)
 		rc.SetReadDeadline(time.Now())
+	}
+	if fired || err != nil {
+		// A read deadline is now set on this connection, so a
+		// keep-alive request after ours would be read as a dead
+		// client and cancelled. Close the connection after answering.
+		w.Header().Set("Connection", "close")
 	}
 	cancel()
 	<-copied

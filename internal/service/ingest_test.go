@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"testing"
@@ -136,6 +137,32 @@ func TestIngestEndpointGarbage(t *testing.T) {
 	for _, run := range []string{"bad-001", "bad-002"} {
 		if svc.View().HasRun(run) {
 			t.Fatalf("failed ingest %s landed in the corpus", run)
+		}
+	}
+}
+
+// TestIngestFailuresBackToBack: a failed ingest must not poison the
+// client's next request. The failure kicks the body copier out with a
+// read deadline, so the connection must not be reused: two failed
+// ingests in a row on one client both answer 400, never 503.
+func TestIngestFailuresBackToBack(t *testing.T) {
+	store, _ := seedStore(t)
+	_, ts := newTestServer(t, Config{Store: store})
+	client := &http.Client{Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
+	hostile := []byte("GRTB\xff\xff\xff\xff")
+	for i := 0; i < 20; i++ {
+		for _, run := range []string{"first", "second"} {
+			url := fmt.Sprintf("%s/v1/ingest?run=%s-%03d", ts.URL, run, i)
+			resp, err := client.Post(url, "application/octet-stream", bytes.NewReader(hostile))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s ingest %d = %d: %s", run, i, resp.StatusCode, body)
+			}
 		}
 	}
 }

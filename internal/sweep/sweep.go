@@ -224,15 +224,15 @@ type shardResult struct {
 type workerSource interface {
 	// acquire checks a worker for key out of the source (a second
 	// acquire before release must not return the same worker).
-	acquire(key string) (*core.Worker, bool)
+	acquire(key configKey) (*core.Worker, bool)
 	// release returns a worker (possibly freshly created) for reuse.
-	release(key string, wk *core.Worker)
+	release(key configKey, wk *core.Worker)
 }
 
 // mapPool is the engine's single-goroutine worker pool.
-type mapPool map[string]*core.Worker
+type mapPool map[configKey]*core.Worker
 
-func (p mapPool) acquire(key string) (*core.Worker, bool) {
+func (p mapPool) acquire(key configKey) (*core.Worker, bool) {
 	wk, ok := p[key]
 	if ok {
 		delete(p, key)
@@ -240,7 +240,7 @@ func (p mapPool) acquire(key string) (*core.Worker, bool) {
 	return wk, ok
 }
 
-func (p mapPool) release(key string, wk *core.Worker) { p[key] = wk }
+func (p mapPool) release(key configKey, wk *core.Worker) { p[key] = wk }
 
 // WorkerCache is a concurrency-safe pool of recycled core.Workers
 // keyed by unit configuration, for callers that execute shards from
@@ -250,15 +250,15 @@ func (p mapPool) release(key string, wk *core.Worker) { p[key] = wk }
 // per shard.
 type WorkerCache struct {
 	mu   sync.Mutex
-	free map[string][]*core.Worker
+	free map[configKey][]*core.Worker
 }
 
 // NewWorkerCache returns an empty cache.
 func NewWorkerCache() *WorkerCache {
-	return &WorkerCache{free: make(map[string][]*core.Worker)}
+	return &WorkerCache{free: make(map[configKey][]*core.Worker)}
 }
 
-func (c *WorkerCache) acquire(key string) (*core.Worker, bool) {
+func (c *WorkerCache) acquire(key configKey) (*core.Worker, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	stack := c.free[key]
@@ -270,7 +270,7 @@ func (c *WorkerCache) acquire(key string) (*core.Worker, bool) {
 	return wk, true
 }
 
-func (c *WorkerCache) release(key string, wk *core.Worker) {
+func (c *WorkerCache) release(key configKey, wk *core.Worker) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.free[key] = append(c.free[key], wk)
@@ -413,12 +413,24 @@ func (e *Engine) RunContext(ctx context.Context, units []Unit, onProgress func(P
 // configKey identifies the recycled-state compatibility class of a
 // unit. Units sharing a key reuse one core.Worker per engine worker;
 // factory-driven units get a per-unit key so a stateful factory is
-// never shared across units.
-func configKey(u *Unit, unitIdx int) string {
+// never shared across units. Being a plain comparable value, it costs
+// a shard nothing to build.
+type configKey struct {
+	detector, strategy           string
+	maxSteps, sampleRate, window int
+	record                       bool
+	factoryUnit                  int // unit index + 1 for factory-driven units, else 0
+}
+
+func unitConfigKey(u *Unit, unitIdx int) configKey {
 	if u.StrategyFactory != nil {
-		return fmt.Sprintf("factory/%d", unitIdx)
+		return configKey{factoryUnit: unitIdx + 1}
 	}
-	return fmt.Sprintf("%s\x00%s\x00%d\x00%t\x00%d\x00%d", u.Detector, u.Strategy, u.MaxSteps, u.Record, u.SampleRate, u.Window)
+	return configKey{
+		detector: u.Detector, strategy: u.Strategy,
+		maxSteps: u.MaxSteps, sampleRate: u.SampleRate, window: u.Window,
+		record: u.Record,
+	}
 }
 
 // runShard executes one shard on the calling goroutine, feeding fresh
@@ -432,7 +444,7 @@ func runShard(ctx context.Context, units []Unit, sh Shard, idx int, pool workerS
 		res.aggs[i] = f()
 	}
 	u := &units[sh.UnitIdx]
-	key := configKey(u, sh.UnitIdx)
+	key := unitConfigKey(u, sh.UnitIdx)
 	wk, ok := pool.acquire(key)
 	if !ok {
 		opts := []core.Option{

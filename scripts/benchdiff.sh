@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # benchdiff.sh OLD NEW — compare two `go test -bench` outputs and fail
-# when any benchmark's allocs/op regressed by more than 20% (or went
-# from zero to nonzero). Benchmarks without a ReportAllocs column, or
-# present in only one file, are skipped.
+# when any benchmark's allocs/op or B/op regressed by more than 20% (or
+# went from zero to nonzero). Benchmarks without a ReportAllocs column,
+# or present in only one file, are skipped.
 #
 # Usage:
 #   go test -bench . -benchtime 100x -run '^$' . > new.txt
@@ -20,12 +20,24 @@ awk -v threshold=1.20 '
     name = $1
     sub(/-[0-9]+$/, "", name)  # strip the GOMAXPROCS suffix
     allocs = -1
+    bytes = -1
     for (i = 2; i <= NF; i++) {
       if ($i == "allocs/op") allocs = $(i - 1)
+      if ($i == "B/op") bytes = $(i - 1)
     }
     if (allocs < 0) next
-    if (file == 1) old[name] = allocs
-    else           new[name] = allocs
+    if (file == 1) { old[name] = allocs; oldb[name] = bytes }
+    else           { new[name] = allocs; newb[name] = bytes }
+  }
+  function check(n, metric, o, w) {
+    o += 0
+    w += 0
+    if ((o == 0 && w > 0) || (o > 0 && w > o * threshold)) {
+      printf "REGRESSION  %-40s %-9s %10d -> %10d\n", n, metric, o, w
+      return 1
+    }
+    printf "ok          %-40s %-9s %10d -> %10d\n", n, metric, o, w
+    return 0
   }
   END {
     status = 0
@@ -33,14 +45,8 @@ awk -v threshold=1.20 '
     for (n in new) {
       if (!(n in old)) continue
       compared++
-      o = old[n] + 0
-      w = new[n] + 0
-      if ((o == 0 && w > 0) || (o > 0 && w > o * threshold)) {
-        printf "REGRESSION  %-40s allocs/op %8d -> %8d\n", n, o, w
-        status = 1
-      } else {
-        printf "ok          %-40s allocs/op %8d -> %8d\n", n, o, w
-      }
+      if (check(n, "allocs/op", old[n], new[n])) status = 1
+      if (oldb[n] >= 0 && newb[n] >= 0 && check(n, "B/op", oldb[n], newb[n])) status = 1
     }
     if (compared == 0) {
       print "benchdiff: no comparable benchmarks (ReportAllocs missing?)" > "/dev/stderr"
