@@ -316,17 +316,13 @@ func BenchmarkReplayEraser(b *testing.B) {
 func benchHotPath(b *testing.B, name string) {
 	rec := recordHeavyTrace(b)
 	det := mustDetector(b, name)
-	rs, ok := det.(detector.Resetter)
-	if !ok {
-		b.Fatalf("detector %q is not resettable", name)
-	}
 	// Prime once so slice growth to the trace's high-water mark is not
 	// billed to the steady state.
 	rec.Replay(det)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs.Reset()
+		det.Reset()
 		rec.Replay(det)
 	}
 }
@@ -445,9 +441,9 @@ func BenchmarkAblationHybridVsHB(b *testing.B) {
 func BenchmarkRunBatchSerial(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p, err := core.DetectionProbability(heavyProgram, core.Config{
-			MaxSteps: 1 << 18, Seed: int64(i),
-		}, 64)
+		p, err := core.NewRunner(
+			core.WithMaxSteps(1<<18), core.WithSeed(int64(i)),
+		).DetectionProbability(heavyProgram, 64)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -150,16 +150,15 @@ func (r *Runner) RunSeed(prog func(*sched.G), seed int64) (*Outcome, error) {
 }
 
 // runState is the per-worker detection state a batch sweep recycles
-// across seeds: the detector instance (Reset in place between runs
-// when it supports it) and the reusable trace buffer for record mode.
-// Recycling this state is what keeps a 1000-seed RunBatch from
-// allocating a thousand detectors' worth of shadow memory.
+// across seeds: the detector instance (Reset in place between runs)
+// and the reusable trace buffer for record mode. Recycling this state
+// is what keeps a 1000-seed RunBatch from allocating a thousand
+// detectors' worth of shadow memory.
 type runState struct {
 	det    detector.Detector
-	reset  detector.Resetter     // nil when det must be rebuilt per run
 	buf    *trace.Recorder       // lazily created, record mode only
 	wbuf   *trace.WindowRecorder // lazily created, window mode only
-	used   bool                  // det has consumed a run since (re)build
+	used   bool                  // det has consumed a run since it was built
 	shared bool                  // state is recycled across runs (batch worker)
 }
 
@@ -168,40 +167,15 @@ func (r *Runner) newDetector() (detector.Detector, error) {
 	return detector.New(r.detectorName, detector.WithSampleRate(r.sampleRate))
 }
 
-// newRunState builds a fresh detector and decides whether it can be
-// recycled. A wrapper (Counting, Sampled) is only recyclable when the
-// detector inside it is.
+// newRunState builds a fresh detector for one run or, on a batch
+// worker, for every run the worker makes: each detector resets in
+// place, so recycling never rebuilds it.
 func (r *Runner) newRunState() (*runState, error) {
 	det, err := r.newDetector()
 	if err != nil {
 		return nil, err
 	}
-	st := &runState{det: det}
-	if rs, ok := det.(detector.Resetter); ok {
-		st.reset = rs
-	}
-	if c, ok := det.(interface{ CanReset() bool }); ok && !c.CanReset() {
-		st.reset = nil
-	}
-	return st, nil
-}
-
-// recycle readies the state for another run, rebuilding the detector
-// if it cannot be reset in place.
-func (st *runState) recycle(r *Runner) error {
-	if !st.used {
-		return nil
-	}
-	if st.reset != nil {
-		st.reset.Reset()
-		return nil
-	}
-	det, err := r.newDetector()
-	if err != nil {
-		return err
-	}
-	st.det = det
-	return nil
+	return &runState{det: det}, nil
 }
 
 // runSeed executes prog once on st. Results never alias recycled
@@ -212,21 +186,17 @@ func (r *Runner) runSeed(st *runState, prog func(*sched.G), seed int64) (*Outcom
 	if err != nil {
 		return nil, err
 	}
-	if err := st.recycle(r); err != nil {
-		return nil, err
-	}
 	det := st.det
+	if st.used {
+		det.Reset()
+	}
+	st.used = true
 	if sd, ok := det.(detector.Seeded); ok {
 		// A sampling gate's phase is a function of the run seed, not
 		// of worker identity or scheduling order — this is what keeps
 		// sampled batch results identical at any parallelism.
 		sd.SetRunSeed(seed)
 	}
-	// A shared (batch-worker) detector is recycled after this run,
-	// which would rewind its result slices — so the outcome must own
-	// copies. One-shot states discard the detector; aliasing is fine.
-	recyclable := st.shared && st.reset != nil
-	st.used = true
 
 	out := &Outcome{Detector: det.Name(), Strategy: strat.Name(), Seed: seed}
 	var listeners []trace.Listener
@@ -274,7 +244,11 @@ func (r *Runner) runSeed(st *runState, prog func(*sched.G), seed int64) (*Outcom
 	}
 	out.Races = det.Races()
 	out.Candidates = det.Candidates()
-	if recyclable {
+	if st.shared {
+		// A shared (batch-worker) detector is reset before its next
+		// run, which rewinds its result slices — so the outcome must
+		// own copies. One-shot states discard the detector; aliasing
+		// is fine.
 		out.Races = append([]report.Race(nil), out.Races...)
 		out.Candidates = append([]report.Race(nil), out.Candidates...)
 	}
@@ -288,12 +262,12 @@ func (r *Runner) runSeed(st *runState, prog func(*sched.G), seed int64) (*Outcom
 }
 
 // Worker owns one recycled detection state bound to a Runner: the
-// detector instance (Reset in place between runs when it supports it)
-// and the reusable trace buffer for record mode. A sweep that pushes
-// many seeds through one Worker allocates one detector's worth of
-// shadow memory, not one per seed. Workers are not safe for concurrent
-// use; create one per goroutine. StreamBatch and the campaign engine
-// in internal/sweep are both built on Workers.
+// detector instance (Reset in place between runs) and the reusable
+// trace buffer for record mode. A sweep that pushes many seeds through
+// one Worker allocates one detector's worth of shadow memory, not one
+// per seed. Workers are not safe for concurrent use; create one per
+// goroutine. StreamBatch and the campaign engine in internal/sweep are
+// both built on Workers.
 type Worker struct {
 	r  *Runner
 	st *runState
@@ -363,10 +337,9 @@ func (r *Runner) StreamBatch(prog func(*sched.G), seeds []int64) <-chan BatchRes
 		go func() {
 			defer wg.Done()
 			// Each worker owns one recycled detection state: the
-			// detector is Reset in place between seeds (when it
-			// supports it), so the sweep's shadow memory, clocks, and
-			// trace buffer are allocated once per worker, not once
-			// per seed.
+			// detector is Reset in place between seeds, so the
+			// sweep's shadow memory, clocks, and trace buffer are
+			// allocated once per worker, not once per seed.
 			wk, err := r.NewWorker()
 			if err != nil {
 				// validate() ran before the workers started, so this

@@ -1,16 +1,29 @@
 // Package detector implements dynamic data race detection over the
 // event stream of the modeled runtime.
 //
-// Three detectors are provided, mirroring the algorithm family §3.1
-// describes inside ThreadSanitizer:
+// The registry (New, Names) holds seven configurations of the
+// algorithm family §3.1 describes inside ThreadSanitizer:
 //
-//   - FastTrack: the precise happens-before detector (vector clocks
+//   - fasttrack: the precise happens-before detector (vector clocks
 //     with epoch optimizations), the reference detector of this repo.
-//   - Eraser: the classic lockset detector — interleaving-insensitive
+//   - fasttrack-paged: FastTrack over paged, evictable shadow memory,
+//     for streaming under a memory ceiling.
+//   - epoch and djit: the epochs-vs-vector-clocks ablation — the same
+//     happens-before verdicts from bare epochs (Epoch) and from full
+//     per-cell histories (DJIT), counting races instead of building
+//     stacked reports.
+//   - eraser: the classic lockset detector — interleaving-insensitive
 //     but imprecise ("may include races that may never manifest").
-//   - Hybrid: runs both, reporting FastTrack races as confirmed and
-//     Eraser-only findings as lockset candidates, approximating how
-//     TSan "integrates lock-set and happens-before algorithms".
+//   - hybrid: runs fasttrack and eraser, reporting FastTrack races as
+//     confirmed and Eraser-only findings as lockset candidates,
+//     approximating how TSan "integrates lock-set and happens-before
+//     algorithms".
+//   - none: observes nothing, the overhead baseline.
+//
+// FastTrack, Epoch and DJIT share one happens-before core (goroutine
+// and sync-object clocks and the fork/acquire/release rules) and
+// differ only in their per-cell shadow state. Any detector can sit
+// behind the Sampled access gate (WithSampleRate).
 //
 // All detectors are trace.Listeners and can run online (attached to a
 // scheduler) or offline over a recorded trace (post-facto, the
@@ -27,8 +40,8 @@ import (
 // expose the same surface, so consumers (the core.Runner, the CLI
 // tools, post-facto replay) never special-case an algorithm: precise
 // detectors fill Races, lockset-based ones may additionally surface
-// Candidates, and counting-only detectors are wrapped by Counting so
-// their verdicts still appear as (minimal) reports.
+// Candidates, and counting-only detectors (Epoch, DJIT) report one
+// minimal race per racy address.
 type Detector interface {
 	trace.Listener
 	// Races returns the reports accumulated so far.
@@ -43,15 +56,12 @@ type Detector interface {
 	Stats() Stats
 	// Name identifies the detector in reports and experiments.
 	Name() string
-}
-
-// Resetter is implemented by detectors that can be rewound to their
-// initial state in place, retaining allocated buffers, so one instance
-// can analyze many runs without churning the garbage collector. After
-// Reset, slices previously returned by Races/Candidates are
-// invalidated; callers that keep results across runs must copy them
-// first (core.Runner does).
-type Resetter interface {
+	// Reset rewinds the detector to its initial state in place,
+	// retaining allocated buffers, so one instance can analyze many
+	// runs without churning the garbage collector. After Reset, slices
+	// previously returned by Races/Candidates are invalidated; callers
+	// that keep results across runs must copy them first (core.Runner
+	// does).
 	Reset()
 }
 

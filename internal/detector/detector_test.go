@@ -490,7 +490,7 @@ func TestDetectorCrossValidation(t *testing.T) {
 					t.Fatalf("prog %d seed %d: addr %d flagged by epoch, not djit", pi, seed, a)
 				}
 			}
-			if ep.RaceCount() > 0 && dj.RaceCount() == 0 {
+			if ep.Count() > 0 && dj.Count() == 0 {
 				t.Fatalf("prog %d seed %d: epoch found races, djit none", pi, seed)
 			}
 		}

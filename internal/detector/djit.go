@@ -11,20 +11,15 @@ import (
 // clocks — last-write times and last-read times per goroutine. It is
 // the baseline for the epochs-vs-vector-clocks ablation: verdicts
 // match the epoch detector, but every access pays O(goroutines)
-// instead of O(1) in the common case.
+// instead of O(1) in the common case. Like Epoch it counts races:
+// Races synthesizes one stackless report per racy address and Count
+// carries the conflicting-pair total.
 type DJIT struct {
-	pool      *vclock.Pool
-	clocks    []*vclock.VC
-	objClocks []*vclock.VC
-	objCount  int
+	hbCore
 	cells     []djitCell
 	cellCount int
-	addrIx    sparseIndex
-	objIx     sparseIndex
 	count     int
 	racyAddrs map[trace.Addr]bool
-	stats     statCounter
-	adapt     adaptCounter
 }
 
 // djitCell holds the four per-cell history clocks by value, in a dense
@@ -46,43 +41,33 @@ type djitCell struct {
 // NewDJIT returns a fresh DJIT+ detector.
 func NewDJIT() *DJIT {
 	return &DJIT{
-		pool:      vclock.NewPool(),
+		hbCore:    newHBCore(),
 		racyAddrs: make(map[trace.Addr]bool),
 	}
 }
 
-// Name implements CountingSource.
+// Name implements Detector.
 func (d *DJIT) Name() string { return "djit-vc" }
 
-// Races returns nil; DJIT counts races without report metadata, like
-// the epoch detector. Wrap with NewCounting for the unified surface.
-func (d *DJIT) Races() []report.Race { return nil }
+// Races implements Detector: one stackless report per racy address,
+// in address order.
+func (d *DJIT) Races() []report.Race { return addrReports(d.racyAddrs, d.Name()) }
 
-// RaceCount returns the number of conflicting access pairs observed.
-func (d *DJIT) RaceCount() int { return d.count }
+// Candidates implements Detector; DJIT is precise.
+func (d *DJIT) Candidates() []report.Race { return nil }
+
+// Count implements Counter: the number of conflicting access pairs
+// observed.
+func (d *DJIT) Count() int { return d.count }
 
 // RacyAddrs returns the set of cells on which at least one race fired.
 func (d *DJIT) RacyAddrs() map[trace.Addr]bool { return d.racyAddrs }
 
-// Reset implements Resetter: shadow state is zeroed in place (history
+// Reset implements Detector: shadow state is zeroed in place (history
 // clocks keep their backing arrays) and goroutine/object clocks return
 // to the pool.
 func (d *DJIT) Reset() {
-	for i, c := range d.clocks {
-		if c != nil {
-			d.pool.Release(c)
-			d.clocks[i] = nil
-		}
-	}
-	d.clocks = d.clocks[:0]
-	for i, c := range d.objClocks {
-		if c != nil {
-			d.pool.Release(c)
-			d.objClocks[i] = nil
-		}
-	}
-	d.objClocks = d.objClocks[:0]
-	d.objCount = 0
+	d.hbCore.reset()
 	for i := range d.cells {
 		c := &d.cells[i]
 		c.seen = false
@@ -94,36 +79,8 @@ func (d *DJIT) Reset() {
 		c.atomicReads.ReleaseTo(d.pool)
 	}
 	d.cellCount = 0
-	d.addrIx.reset()
-	d.objIx.reset()
 	d.count = 0
 	clear(d.racyAddrs)
-	d.stats = statCounter{}
-	d.adapt = adaptCounter{}
-}
-
-func (d *DJIT) clockOf(g vclock.TID) *vclock.VC {
-	for int(g) >= len(d.clocks) {
-		d.clocks = append(d.clocks, nil)
-	}
-	if d.clocks[g] == nil {
-		c := d.pool.Acquire()
-		c.Set(g, 1)
-		d.clocks[g] = c
-	}
-	return d.clocks[g]
-}
-
-func (d *DJIT) objClock(o trace.ObjID) *vclock.VC {
-	o = trace.ObjID(d.objIx.local(uint64(o)))
-	for int(o) >= len(d.objClocks) {
-		d.objClocks = append(d.objClocks, nil)
-	}
-	if d.objClocks[o] == nil {
-		d.objClocks[o] = d.pool.Acquire()
-		d.objCount++
-	}
-	return d.objClocks[o]
 }
 
 // cell returns the shadow cell for a. The pointer is only valid until
@@ -143,28 +100,10 @@ func (d *DJIT) cell(a trace.Addr) *djitCell {
 
 // HandleEvent implements trace.Listener.
 func (d *DJIT) HandleEvent(ev trace.Event) {
-	d.stats.note(ev)
+	d.counts.note(ev)
 	switch ev.Op {
-	case trace.OpFork:
-		parent := d.clockOf(ev.G)
-		child := d.pool.Acquire()
-		parent.CopyInto(child)
-		child.Tick(ev.Child)
-		for int(ev.Child) >= len(d.clocks) {
-			d.clocks = append(d.clocks, nil)
-		}
-		d.clocks[ev.Child] = child
-		parent.Tick(ev.G)
-
-	case trace.OpAcquire:
-		d.objClock(ev.Obj).JoinInto(d.clockOf(ev.G))
-
-	case trace.OpRelease:
-		if ev.Kind == trace.KindRWRead {
-			return
-		}
-		d.clockOf(ev.G).JoinInto(d.objClock(ev.Obj))
-		d.clockOf(ev.G).Tick(ev.G)
+	case trace.OpFork, trace.OpAcquire, trace.OpRelease:
+		d.sync(ev)
 
 	case trace.OpRead, trace.OpAtomicLoad:
 		c := d.cell(ev.Addr)

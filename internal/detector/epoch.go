@@ -11,20 +11,14 @@ import (
 // annotations — and counts races instead of building reports. It
 // exists for the epochs-vs-vector-clocks ablation (DESIGN.md): the
 // detection *verdicts* must match FastTrack exactly, at a fraction of
-// the per-access cost.
+// the per-access cost. Races synthesizes one stackless report per
+// racy address; Count carries the conflicting-pair total.
 type Epoch struct {
-	pool      *vclock.Pool
-	clocks    []*vclock.VC
-	objClocks []*vclock.VC
-	objCount  int
+	hbCore
 	cells     []epochCell
 	cellCount int
-	addrIx    sparseIndex
-	objIx     sparseIndex
 	count     int
 	racyAddrs map[trace.Addr]bool
-	stats     statCounter
-	adapt     adaptCounter
 }
 
 // epochCell is one cell's shadow word, stored by value in a dense
@@ -43,44 +37,33 @@ type epochCell struct {
 // NewEpoch returns a fresh epoch-based detector.
 func NewEpoch() *Epoch {
 	return &Epoch{
-		pool:      vclock.NewPool(),
+		hbCore:    newHBCore(),
 		racyAddrs: make(map[trace.Addr]bool),
 	}
 }
 
-// Name implements CountingSource.
+// Name implements Detector.
 func (e *Epoch) Name() string { return "fasttrack-epoch" }
 
-// Races returns nil: the epoch detector keeps no report metadata. Use
-// RaceCount and RacyAddrs directly, or wrap with NewCounting for the
-// unified Detector surface.
-func (e *Epoch) Races() []report.Race { return nil }
+// Races implements Detector: one stackless report per racy address,
+// in address order.
+func (e *Epoch) Races() []report.Race { return addrReports(e.racyAddrs, e.Name()) }
 
-// RaceCount returns the number of conflicting access pairs observed.
-func (e *Epoch) RaceCount() int { return e.count }
+// Candidates implements Detector; the epoch detector is precise.
+func (e *Epoch) Candidates() []report.Race { return nil }
+
+// Count implements Counter: the number of conflicting access pairs
+// observed.
+func (e *Epoch) Count() int { return e.count }
 
 // RacyAddrs returns the set of cells on which at least one race fired.
 func (e *Epoch) RacyAddrs() map[trace.Addr]bool { return e.racyAddrs }
 
-// Reset implements Resetter: all shadow state is cleared in place and
+// Reset implements Detector: all shadow state is cleared in place and
 // clocks return to the pool, readying the detector for another run
 // without reallocation.
 func (e *Epoch) Reset() {
-	for i, c := range e.clocks {
-		if c != nil {
-			e.pool.Release(c)
-			e.clocks[i] = nil
-		}
-	}
-	e.clocks = e.clocks[:0]
-	for i, c := range e.objClocks {
-		if c != nil {
-			e.pool.Release(c)
-			e.objClocks[i] = nil
-		}
-	}
-	e.objClocks = e.objClocks[:0]
-	e.objCount = 0
+	e.hbCore.reset()
 	for i := range e.cells {
 		c := &e.cells[i]
 		c.seen = false
@@ -91,36 +74,8 @@ func (e *Epoch) Reset() {
 		c.atomicReads.ReleaseTo(e.pool)
 	}
 	e.cellCount = 0
-	e.addrIx.reset()
-	e.objIx.reset()
 	e.count = 0
 	clear(e.racyAddrs)
-	e.stats = statCounter{}
-	e.adapt = adaptCounter{}
-}
-
-func (e *Epoch) clockOf(g vclock.TID) *vclock.VC {
-	for int(g) >= len(e.clocks) {
-		e.clocks = append(e.clocks, nil)
-	}
-	if e.clocks[g] == nil {
-		c := e.pool.Acquire()
-		c.Set(g, 1)
-		e.clocks[g] = c
-	}
-	return e.clocks[g]
-}
-
-func (e *Epoch) objClock(o trace.ObjID) *vclock.VC {
-	o = trace.ObjID(e.objIx.local(uint64(o)))
-	for int(o) >= len(e.objClocks) {
-		e.objClocks = append(e.objClocks, nil)
-	}
-	if e.objClocks[o] == nil {
-		e.objClocks[o] = e.pool.Acquire()
-		e.objCount++
-	}
-	return e.objClocks[o]
 }
 
 // cell returns the shadow cell for a, initializing it on first touch.
@@ -144,28 +99,10 @@ func (e *Epoch) cell(a trace.Addr) *epochCell {
 
 // HandleEvent implements trace.Listener.
 func (e *Epoch) HandleEvent(ev trace.Event) {
-	e.stats.note(ev)
+	e.counts.note(ev)
 	switch ev.Op {
-	case trace.OpFork:
-		parent := e.clockOf(ev.G)
-		child := e.pool.Acquire()
-		parent.CopyInto(child)
-		child.Tick(ev.Child)
-		for int(ev.Child) >= len(e.clocks) {
-			e.clocks = append(e.clocks, nil)
-		}
-		e.clocks[ev.Child] = child
-		parent.Tick(ev.G)
-
-	case trace.OpAcquire:
-		e.objClock(ev.Obj).JoinInto(e.clockOf(ev.G))
-
-	case trace.OpRelease:
-		if ev.Kind == trace.KindRWRead {
-			return // lockset bookkeeping only; no HB edge
-		}
-		e.clockOf(ev.G).JoinInto(e.objClock(ev.Obj))
-		e.clockOf(ev.G).Tick(ev.G)
+	case trace.OpFork, trace.OpAcquire, trace.OpRelease:
+		e.sync(ev)
 
 	case trace.OpRead, trace.OpAtomicLoad:
 		c := e.cell(ev.Addr)

@@ -68,7 +68,7 @@ func NewEraser() *Eraser {
 	return &Eraser{locks: newLockTracker()}
 }
 
-// Reset implements Resetter: the cell slice is zeroed in place and the
+// Reset implements Detector: the cell slice is zeroed in place and the
 // lock tracker emptied, keeping all buffers for the next run. Slices
 // previously returned by Races are invalidated.
 func (e *Eraser) Reset() {
@@ -203,7 +203,7 @@ func NewHybrid() *Hybrid {
 	return &Hybrid{HB: NewFastTrack(), LS: NewEraser()}
 }
 
-// Reset implements Resetter by resetting both sides.
+// Reset implements Detector by resetting both sides.
 func (h *Hybrid) Reset() {
 	h.HB.Reset()
 	h.LS.Reset()

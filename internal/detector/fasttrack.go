@@ -57,29 +57,21 @@ type ftCell struct {
 	reports int
 }
 
-// FastTrack is the happens-before race detector. It maintains one
-// vector clock per goroutine, one per synchronization object, and
-// per-cell access histories; a race is two accesses to the same cell,
-// at least one a write, not both atomic, with neither ordered before
-// the other.
+// FastTrack is the happens-before race detector. On the shared
+// happens-before core (one vector clock per goroutine and per
+// synchronization object) it keeps per-cell access histories; a race
+// is two accesses to the same cell, at least one a write, not both
+// atomic, with neither ordered before the other.
 //
-// All shadow state is held in dense slices keyed by the scheduler's
-// small dense TIDs, ObjIDs, and Addrs, and vector clocks come from a
-// Pool, so the per-event path performs no steady-state allocations.
-// Reset reuses all of it for the next run.
+// Shadow cells are held in a dense slice keyed by the scheduler's
+// small dense Addrs, so the per-event path performs no steady-state
+// allocations. Reset reuses all of it for the next run.
 type FastTrack struct {
-	pool      *vclock.Pool
-	clocks    []*vclock.VC
-	objClocks []*vclock.VC
-	objCount  int
+	hbCore
 	cells     []ftCell
 	cellCount int
-	addrIx    sparseIndex
-	objIx     sparseIndex
 	locks     *lockTracker
 	races     []report.Race
-	stats     statCounter
-	adapt     adaptCounter
 	// freeReaders recycles demoted readers lists: only currently
 	// promoted cells hold list storage, and a demotion hands the
 	// backing array to the next promotion anywhere in the detector.
@@ -92,7 +84,7 @@ type FastTrack struct {
 // NewFastTrack returns a fresh happens-before detector.
 func NewFastTrack() *FastTrack {
 	return &FastTrack{
-		pool:              vclock.NewPool(),
+		hbCore:            newHBCore(),
 		locks:             newLockTracker(),
 		MaxReportsPerCell: 8,
 	}
@@ -111,26 +103,12 @@ func (ft *FastTrack) Candidates() []report.Race { return nil }
 // RaceCount returns the number of reports.
 func (ft *FastTrack) RaceCount() int { return len(ft.races) }
 
-// Reset implements Resetter: it clears all detection state in place,
+// Reset implements Detector: it clears all detection state in place,
 // releasing clocks to the pool and retaining every buffer, so the
 // detector can consume another run without reallocating its shadow
 // state. Slices previously returned by Races are invalidated.
 func (ft *FastTrack) Reset() {
-	for i, c := range ft.clocks {
-		if c != nil {
-			ft.pool.Release(c)
-			ft.clocks[i] = nil
-		}
-	}
-	ft.clocks = ft.clocks[:0]
-	for i, c := range ft.objClocks {
-		if c != nil {
-			ft.pool.Release(c)
-			ft.objClocks[i] = nil
-		}
-	}
-	ft.objClocks = ft.objClocks[:0]
-	ft.objCount = 0
+	ft.hbCore.reset()
 	for i := range ft.cells {
 		c := &ft.cells[i]
 		c.seen, c.hasWrite, c.hasRead, c.reports = false, false, false, 0
@@ -143,12 +121,8 @@ func (ft *FastTrack) Reset() {
 		}
 	}
 	ft.cellCount = 0
-	ft.addrIx.reset()
-	ft.objIx.reset()
 	ft.locks.reset()
 	ft.races = ft.races[:0]
-	ft.stats = statCounter{}
-	ft.adapt = adaptCounter{}
 }
 
 // acquireReaders pops a recycled readers list, or allocates the first
@@ -172,32 +146,6 @@ func (ft *FastTrack) releaseReaders(s []access) {
 	ft.freeReaders = append(ft.freeReaders, s[:0])
 }
 
-// clockOf returns g's clock, initializing it with its own component
-// at 1 (each goroutine begins in its own epoch).
-func (ft *FastTrack) clockOf(g vclock.TID) *vclock.VC {
-	for int(g) >= len(ft.clocks) {
-		ft.clocks = append(ft.clocks, nil)
-	}
-	if ft.clocks[g] == nil {
-		c := ft.pool.Acquire()
-		c.Set(g, 1)
-		ft.clocks[g] = c
-	}
-	return ft.clocks[g]
-}
-
-func (ft *FastTrack) objClock(o trace.ObjID) *vclock.VC {
-	o = trace.ObjID(ft.objIx.local(uint64(o)))
-	for int(o) >= len(ft.objClocks) {
-		ft.objClocks = append(ft.objClocks, nil)
-	}
-	if ft.objClocks[o] == nil {
-		ft.objClocks[o] = ft.pool.Acquire()
-		ft.objCount++
-	}
-	return ft.objClocks[o]
-}
-
 // cell returns the shadow cell for a. The returned pointer is only
 // valid until the next cell call (growth may move the backing array).
 func (ft *FastTrack) cell(a trace.Addr) *ftCell {
@@ -215,32 +163,13 @@ func (ft *FastTrack) cell(a trace.Addr) *ftCell {
 
 // HandleEvent implements trace.Listener.
 func (ft *FastTrack) HandleEvent(ev trace.Event) {
-	ft.stats.note(ev)
+	ft.counts.note(ev)
 	switch ev.Op {
-	case trace.OpFork:
-		parent := ft.clockOf(ev.G)
-		child := ft.pool.Acquire()
-		parent.CopyInto(child)
-		child.Tick(ev.Child)
-		for int(ev.Child) >= len(ft.clocks) {
-			ft.clocks = append(ft.clocks, nil)
-		}
-		ft.clocks[ev.Child] = child
-		parent.Tick(ev.G)
-
-	case trace.OpAcquire:
+	case trace.OpFork, trace.OpAcquire, trace.OpRelease:
+		// Lock sets only annotate reports (handle ignores forks); the
+		// HB edge is the core's.
 		ft.locks.handle(ev)
-		ft.objClock(ev.Obj).JoinInto(ft.clockOf(ev.G))
-
-	case trace.OpRelease:
-		if ft.locks.handle(ev) && ev.Kind == trace.KindRWRead {
-			// Read-mode release: lockset bookkeeping only. The HB
-			// reader→writer edge travels through the RWMutex's
-			// internal read-release object instead.
-			return
-		}
-		ft.clockOf(ev.G).JoinInto(ft.objClock(ev.Obj))
-		ft.clockOf(ev.G).Tick(ev.G)
+		ft.sync(ev)
 
 	case trace.OpRead, trace.OpAtomicLoad:
 		ft.read(ev)

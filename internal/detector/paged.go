@@ -99,7 +99,7 @@ func (p *PagedFastTrack) Stats() Stats {
 	return s
 }
 
-// Reset implements Resetter, additionally rewinding the paging state.
+// Reset implements Detector, additionally rewinding the paging state.
 func (p *PagedFastTrack) Reset() {
 	p.FastTrack.Reset()
 	p.tick = 0

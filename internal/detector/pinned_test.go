@@ -69,7 +69,7 @@ func TestRegistryOutputsPinned(t *testing.T) {
 		}
 		for i, s := range streams {
 			if i > 0 {
-				d.(interface{ Reset() }).Reset()
+				d.Reset()
 			}
 			if sd, ok := d.(Seeded); ok {
 				sd.SetRunSeed(pinnedSampleSeed)

@@ -106,45 +106,53 @@ func TestNewReturnsFreshInstances(t *testing.T) {
 	}
 }
 
-// TestCountingSynthesizesPerAddrReports checks the Counting adapter:
-// racy addresses become minimal reports, the pair count stays
-// available, and the unified surface agrees with the inner detector.
+// TestCountingSynthesizesPerAddrReports checks the counting
+// detectors' Detector surface: racy addresses become minimal reports
+// in address order, and the pair count stays available through Count
+// and Stats().Reports.
 func TestCountingSynthesizesPerAddrReports(t *testing.T) {
-	c := NewCounting(NewEpoch())
-	runWith(t, 3, sched.NewRandom(), racyCounter, c)
-	inner := c.Inner.(*Epoch)
-	if inner.RaceCount() == 0 {
+	for _, mk := range []func() countingDetector{
+		func() countingDetector { return NewEpoch() },
+		func() countingDetector { return NewDJIT() },
+	} {
+		c := mk()
 		// racyCounter manifests under most seeds; search a few.
-		for seed := int64(4); seed < 40 && inner.RaceCount() == 0; seed++ {
-			c = NewCounting(NewEpoch())
+		for seed := int64(3); seed < 40 && c.Count() == 0; seed++ {
+			c = mk()
 			runWith(t, seed, sched.NewRandom(), racyCounter, c)
-			inner = c.Inner.(*Epoch)
 		}
-		if inner.RaceCount() == 0 {
-			t.Fatal("race never manifested")
+		if c.Count() == 0 {
+			t.Fatalf("%s: race never manifested", c.Name())
+		}
+		races := c.Races()
+		if len(races) != len(c.RacyAddrs()) {
+			t.Fatalf("%s: %d synthesized reports, %d racy addrs", c.Name(), len(races), len(c.RacyAddrs()))
+		}
+		for i, r := range races {
+			if r.Detector != c.Name() {
+				t.Fatalf("synthesized report names %q, want %q", r.Detector, c.Name())
+			}
+			if !c.RacyAddrs()[r.First.Addr] {
+				t.Fatalf("%s: report for addr %d not in RacyAddrs", c.Name(), r.First.Addr)
+			}
+			if i > 0 && races[i-1].First.Addr >= r.First.Addr {
+				t.Fatalf("%s: reports not in address order", c.Name())
+			}
+		}
+		if c.Stats().Reports != c.Count() {
+			t.Fatalf("%s: Stats().Reports %d disagrees with Count %d", c.Name(), c.Stats().Reports, c.Count())
+		}
+		if c.Candidates() != nil {
+			t.Fatalf("%s: counting detector has candidates", c.Name())
 		}
 	}
-	races := c.Races()
-	if len(races) != len(inner.RacyAddrs()) {
-		t.Fatalf("%d synthesized reports, %d racy addrs", len(races), len(inner.RacyAddrs()))
-	}
-	for _, r := range races {
-		if r.Detector != c.Name() {
-			t.Fatalf("synthesized report names %q, want %q", r.Detector, c.Name())
-		}
-		if !inner.RacyAddrs()[r.First.Addr] {
-			t.Fatalf("report for addr %d not in RacyAddrs", r.First.Addr)
-		}
-	}
-	if c.Count() != inner.RaceCount() {
-		t.Fatal("Count disagrees with inner RaceCount")
-	}
-	if c.Stats().Reports != inner.RaceCount() {
-		t.Fatal("Stats().Reports disagrees with inner RaceCount")
-	}
-	if c.Candidates() != nil {
-		t.Fatal("counting detector has candidates")
-	}
+}
+
+// countingDetector is the surface Epoch and DJIT share.
+type countingDetector interface {
+	Detector
+	Counter
+	RacyAddrs() map[trace.Addr]bool
 }
 
 func TestNoopDetectorReportsNothing(t *testing.T) {
@@ -232,12 +240,12 @@ func TestStatsPassthroughCarriesAdaptiveCounters(t *testing.T) {
 		}
 	}
 	check("fasttrack", NewFastTrack(), true)
-	check("counting(epoch)", NewCounting(NewEpoch()), true)
+	check("epoch", NewEpoch(), true)
 	// DJIT keeps full histories for the cell's whole life, so it
 	// promotes but never demotes within a run.
-	check("counting(djit)", NewCounting(NewDJIT()), false)
+	check("djit", NewDJIT(), false)
 	check("sampled(fasttrack)", NewSampled(NewFastTrack(), 1), true)
-	check("sampled(counting(epoch))", NewSampled(NewCounting(NewEpoch()), 1), true)
+	check("sampled(epoch)", NewSampled(NewEpoch(), 1), true)
 
 	// Under a real gate the full-stream counters must stay honest:
 	// checked + skipped == accesses, and the event-shape counters

@@ -120,28 +120,13 @@ func (s *Sampled) SetRunSeed(seed int64) {
 	}
 }
 
-// Reset implements Resetter by delegating to the wrapped detector and
-// rewinding the gate. Like Counting.Reset it panics on a
-// non-resettable inner detector; check CanReset first.
+// Reset implements Detector by resetting the wrapped detector and
+// rewinding the gate.
 func (s *Sampled) Reset() {
-	r, ok := s.Inner.(Resetter)
-	if !ok {
-		panic("detector: Reset on Sampled wrapper of non-resettable " + s.Inner.Name())
-	}
-	r.Reset()
+	s.Inner.Reset()
 	s.ctr = 0
 	s.stats = statCounter{}
 	s.checked, s.skipped = 0, 0
-}
-
-// CanReset reports whether the wrapped detector supports in-place
-// reuse across runs.
-func (s *Sampled) CanReset() bool {
-	if c, ok := s.Inner.(interface{ CanReset() bool }); ok {
-		return c.CanReset()
-	}
-	_, ok := s.Inner.(Resetter)
-	return ok
 }
 
 // splitmix64 is the SplitMix64 finalizer, a cheap bijective hash used

@@ -113,54 +113,15 @@ func fill(s Stats, c statCounter, a adaptCounter) Stats {
 }
 
 // Stats reports the FastTrack detector's work counters.
-func (ft *FastTrack) Stats() Stats {
-	gor := 0
-	for _, c := range ft.clocks {
-		if c != nil {
-			gor++
-		}
-	}
-	return fill(Stats{
-		Cells:      ft.cellCount,
-		SyncClocks: ft.objCount,
-		Goroutines: gor,
-		Reports:    len(ft.races),
-	}, ft.stats, ft.adapt)
-}
+func (ft *FastTrack) Stats() Stats { return ft.stats(ft.cellCount, len(ft.races)) }
 
 // Stats reports the Epoch detector's work counters.
-func (e *Epoch) Stats() Stats {
-	gor := 0
-	for _, c := range e.clocks {
-		if c != nil {
-			gor++
-		}
-	}
-	return fill(Stats{
-		Cells:      e.cellCount,
-		SyncClocks: e.objCount,
-		Goroutines: gor,
-		Reports:    e.count,
-	}, e.stats, e.adapt)
-}
+func (e *Epoch) Stats() Stats { return e.stats(e.cellCount, e.count) }
 
 // Stats reports the DJIT detector's work counters. DJIT never clears
 // a cell's history, so its Demotions stay zero within a run — the
 // contrast with FastTrack's demotion stream is the ablation's point.
-func (d *DJIT) Stats() Stats {
-	gor := 0
-	for _, c := range d.clocks {
-		if c != nil {
-			gor++
-		}
-	}
-	return fill(Stats{
-		Cells:      d.cellCount,
-		SyncClocks: d.objCount,
-		Goroutines: gor,
-		Reports:    d.count,
-	}, d.stats, d.adapt)
-}
+func (d *DJIT) Stats() Stats { return d.stats(d.cellCount, d.count) }
 
 // Stats reports the Hybrid detector's combined work counters. Both
 // sides consume the same event stream, so the event-shape counters

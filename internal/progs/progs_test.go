@@ -24,7 +24,7 @@ func seedsWithRace(t *testing.T, name string, racy bool, seeds int) (hits int, h
 	}
 	seen := map[string]bool{}
 	for seed := int64(0); seed < int64(seeds); seed++ {
-		out, err := core.Detect(entry, core.Config{Detector: "fasttrack", Seed: seed})
+		out, err := core.NewRunner(core.WithDetector("fasttrack"), core.WithSeed(seed)).Run(entry)
 		if err != nil {
 			t.Fatalf("%s seed %d: %v", name, seed, err)
 		}

@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # benchdiff.sh OLD NEW — compare two `go test -bench` outputs and fail
 # when any benchmark's allocs/op or B/op regressed by more than 20% (or
-# went from zero to nonzero). Benchmarks without a ReportAllocs column,
-# or present in only one file, are skipped.
+# went from zero to nonzero), or when a benchmark in OLD is missing from
+# NEW or lost its allocs/op column there (a MISSING line), so dropping,
+# renaming or un-instrumenting a benchmark cannot slip past the gate.
+# Benchmarks without a ReportAllocs column in OLD are checked for
+# presence only; benchmarks only in NEW are skipped.
 #
 # Usage:
 #   go test -bench . -benchtime 100x -run '^$' . > new.txt
@@ -19,6 +22,8 @@ awk -v threshold=1.20 '
   /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)  # strip the GOMAXPROCS suffix
+    if (file == 1) baseline[name] = 1
+    else           seen[name] = 1
     allocs = -1
     bytes = -1
     for (i = 2; i <= NF; i++) {
@@ -42,6 +47,15 @@ awk -v threshold=1.20 '
   END {
     status = 0
     compared = 0
+    for (n in baseline) {
+      if (!(n in seen)) {
+        printf "MISSING     %s\n", n
+        status = 1
+      } else if ((n in old) && !(n in new)) {
+        printf "MISSING     %-40s allocs/op\n", n
+        status = 1
+      }
+    }
     for (n in new) {
       if (!(n in old)) continue
       compared++
