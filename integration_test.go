@@ -77,6 +77,10 @@ func TestBinariesBuildAndRun(t *testing.T) {
 		t.Fatalf("save-trace: %v\n%s", err, out)
 	}
 	runOK(raceanalyze, "unique race", "-trace", traceFile)
+	// The same binary trace through online streaming ingest, unbounded
+	// and under a memory ceiling (the paged detector's CLI path).
+	runOK(racedetect, "WARNING: DATA RACE", "-stream", traceFile)
+	runOK(racedetect, "ceiling: 1 MiB", "-stream", traceFile, "-mem-ceiling", "1")
 
 	// Examples.
 	runOK(build("examples/quickstart"), "clean: no race under any of 50 seeds")

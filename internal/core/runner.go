@@ -25,7 +25,6 @@ type Runner struct {
 	seed            int64
 	maxSteps        int
 	record          bool
-	window          int
 	parallelism     int
 	sampleRate      int
 }
@@ -68,17 +67,6 @@ func WithMaxSteps(n int) Option {
 // analysis (Outcome.Trace).
 func WithRecord(record bool) Option {
 	return func(r *Runner) { r.record = record }
-}
-
-// WithWindow keeps a windowed trace on each run's Outcome instead of
-// a full recording: only the most recent n events per goroutine are
-// retained (trace.WindowRecorder), merged in Seq order at run end.
-// This is the sweep shape of streaming detection's bounded retention —
-// a manifested race still carries classify-able recent context, but
-// trace memory no longer scales with run length. n > 0 overrides
-// WithRecord's full trace; 0 disables windowing.
-func WithWindow(n int) Option {
-	return func(r *Runner) { r.window = n }
 }
 
 // WithParallelism sets the worker count for RunBatch (default 1,
@@ -156,10 +144,9 @@ func (r *Runner) RunSeed(prog func(*sched.G), seed int64) (*Outcome, error) {
 // detectors' worth of shadow memory.
 type runState struct {
 	det    detector.Detector
-	buf    *trace.Recorder       // lazily created, record mode only
-	wbuf   *trace.WindowRecorder // lazily created, window mode only
-	used   bool                  // det has consumed a run since it was built
-	shared bool                  // state is recycled across runs (batch worker)
+	buf    *trace.Recorder // lazily created, record mode only
+	used   bool            // det has consumed a run since it was built
+	shared bool            // state is recycled across runs (batch worker)
 }
 
 // newDetector builds the Runner's detector, sampling gate included.
@@ -200,14 +187,7 @@ func (r *Runner) runSeed(st *runState, prog func(*sched.G), seed int64) (*Outcom
 
 	out := &Outcome{Detector: det.Name(), Strategy: strat.Name(), Seed: seed}
 	var listeners []trace.Listener
-	switch {
-	case r.window > 0:
-		if st.wbuf == nil {
-			st.wbuf = trace.NewWindowRecorder(r.window)
-		}
-		st.wbuf.Reset()
-		listeners = append(listeners, st.wbuf)
-	case r.record:
+	if r.record {
 		if st.buf == nil {
 			st.buf = &trace.Recorder{}
 		}
@@ -227,12 +207,7 @@ func (r *Runner) runSeed(st *runState, prog func(*sched.G), seed int64) (*Outcom
 		Listeners: listeners,
 	})
 
-	switch {
-	case r.window > 0:
-		// Snapshot merges the per-goroutine rings into a fresh
-		// Recorder, so windowed traces never alias recycled state.
-		out.Trace = st.wbuf.Snapshot()
-	case r.record:
+	if r.record {
 		if st.shared {
 			out.Trace = st.buf.Snapshot()
 		} else {

@@ -7,6 +7,7 @@ import (
 	"gorace/internal/progen"
 	_ "gorace/internal/progs" // registers the instrumented dogfood programs
 	"gorace/internal/report"
+	"gorace/internal/report/reporttest"
 	"gorace/internal/sched"
 	"gorace/internal/trace"
 	"gorace/internal/vclock"
@@ -165,17 +166,8 @@ func (ft *legacyFastTrack) report(ev trace.Event, c *legacyCell, prior access) {
 	})
 }
 
-// raceHashes renders a report sequence as its ordered dedup hashes.
-func raceHashes(races []report.Race) []string {
-	out := make([]string, len(races))
-	for i, r := range races {
-		out[i] = r.Hash()
-	}
-	return out
-}
-
 // compareToLegacy runs prog under both representations and fails on
-// the first divergence in the ordered race-hash sequence (a stronger
+// the first divergence in the ordered report sequence (a stronger
 // check than set equality: report order and multiplicity must match
 // too, since downstream dedup keeps first manifestations).
 func compareToLegacy(t *testing.T, name string, prog func(*sched.G), seed int64) *FastTrack {
@@ -186,15 +178,8 @@ func compareToLegacy(t *testing.T, name string, prog func(*sched.G), seed int64)
 		Strategy: sched.NewRandom(), Seed: seed, MaxSteps: 1 << 18,
 		Listeners: []trace.Listener{adaptive, legacy},
 	})
-	got, want := raceHashes(adaptive.Races()), raceHashes(legacy.races)
-	if len(got) != len(want) {
-		t.Fatalf("%s seed %d: adaptive reported %d races, legacy %d", name, seed, len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s seed %d: report %d hash diverged:\nadaptive %s\nlegacy   %s",
-				name, seed, i, got[i], want[i])
-		}
+	if d := reporttest.Diff(adaptive.Races(), legacy.races); d != "" {
+		t.Fatalf("%s seed %d: adaptive vs legacy: %s", name, seed, d)
 	}
 	return adaptive
 }
@@ -261,14 +246,8 @@ func TestSampleRateOneIsIdentity(t *testing.T) {
 			Strategy: sched.NewRandom(), Seed: seed, MaxSteps: 1 << 18,
 			Listeners: []trace.Listener{plain, gated},
 		})
-		got, want := raceHashes(gated.Races()), raceHashes(plain.Races())
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: rate-1 gate reported %d races, plain %d", seed, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: report %d diverged under a rate-1 gate", seed, i)
-			}
+		if d := reporttest.Diff(gated.Races(), plain.Races()); d != "" {
+			t.Fatalf("seed %d: rate-1 gate vs plain: %s", seed, d)
 		}
 		st := gated.Stats()
 		if st.SkippedAccesses != 0 || st.CheckedAccesses != st.Accesses {
@@ -290,7 +269,7 @@ func TestSampledRunReproducible(t *testing.T) {
 			Strategy: sched.NewRandom(), Seed: seed, MaxSteps: 1 << 18,
 			Listeners: []trace.Listener{s},
 		})
-		return raceHashes(s.Races()), s.Stats()
+		return reporttest.Keys(s.Races()), s.Stats()
 	}
 	for seed := int64(0); seed < 10; seed++ {
 		h1, st1 := run(seed)

@@ -6,8 +6,10 @@
 //
 //   - fasttrack: the precise happens-before detector (vector clocks
 //     with epoch optimizations), the reference detector of this repo.
-//   - fasttrack-paged: FastTrack over paged, evictable shadow memory,
-//     for streaming under a memory ceiling.
+//   - fasttrack-paged: FastTrack under the name streaming ingest uses
+//     when it bounds the detector's shadow pages to a memory ceiling.
+//     Paging is FastTrack's retention policy (Evictor), not a wrapper;
+//     with no page budget nothing is evicted.
 //   - epoch and djit: the epochs-vs-vector-clocks ablation — the same
 //     happens-before verdicts from bare epochs (Epoch) and from full
 //     per-cell histories (DJIT), counting races instead of building

@@ -66,8 +66,14 @@ type ftCell struct {
 // Shadow cells are held in a dense slice keyed by the scheduler's
 // small dense Addrs, so the per-event path performs no steady-state
 // allocations. Reset reuses all of it for the next run.
+//
+// The cells are tracked in pages, and a page budget (SetPageBudget,
+// the Evictor interface) bounds how many stay resident; see pageState
+// for the retention policy. The registry's "fasttrack-paged" is this
+// detector under its own name, the one streaming ingest budgets.
 type FastTrack struct {
 	hbCore
+	name      string
 	cells     []ftCell
 	cellCount int
 	locks     *lockTracker
@@ -76,22 +82,36 @@ type FastTrack struct {
 	// promoted cells hold list storage, and a demotion hands the
 	// backing array to the next promotion anywhere in the detector.
 	freeReaders [][]access
+	// pages is the per-page paging state of cells; pageBudget bounds
+	// the resident pages (0 = unbounded), tick is the access clock
+	// that orders their last touches.
+	pages              []pageState
+	pageBudget         int
+	tick               uint64
+	livePages          int
+	evictions, reloads int
 	// MaxReportsPerCell caps reports from a single cell so a racy
 	// loop does not flood the output (default 8).
 	MaxReportsPerCell int
 }
 
+// ftReportName is the detector name FastTrack's race reports carry,
+// whatever the registry name it was built under: paging is a retention
+// policy, so paged reports keep the §3.3.1 hashes of unpaged ones.
+const ftReportName = "fasttrack-hb"
+
 // NewFastTrack returns a fresh happens-before detector.
 func NewFastTrack() *FastTrack {
 	return &FastTrack{
 		hbCore:            newHBCore(),
+		name:              ftReportName,
 		locks:             newLockTracker(),
 		MaxReportsPerCell: 8,
 	}
 }
 
 // Name implements Detector.
-func (ft *FastTrack) Name() string { return "fasttrack-hb" }
+func (ft *FastTrack) Name() string { return ft.name }
 
 // Races implements Detector.
 func (ft *FastTrack) Races() []report.Race { return ft.races }
@@ -123,6 +143,10 @@ func (ft *FastTrack) Reset() {
 	ft.cellCount = 0
 	ft.locks.reset()
 	ft.races = ft.races[:0]
+	// The budget is configuration and survives; the paging state
+	// rewinds with the cells.
+	clear(ft.pages)
+	ft.tick, ft.livePages, ft.evictions, ft.reloads = 0, 0, 0, 0
 }
 
 // acquireReaders pops a recycled readers list, or allocates the first
@@ -146,14 +170,21 @@ func (ft *FastTrack) releaseReaders(s []access) {
 	ft.freeReaders = append(ft.freeReaders, s[:0])
 }
 
-// cell returns the shadow cell for a. The returned pointer is only
-// valid until the next cell call (growth may move the backing array).
+// cell returns the shadow cell for a, after marking its page resident
+// and most recently touched. The returned pointer is only valid until
+// the next cell call (growth may move the backing array).
 func (ft *FastTrack) cell(a trace.Addr) *ftCell {
-	a = trace.Addr(ft.addrIx.local(uint64(a)))
-	for int(a) >= len(ft.cells) {
+	i := int(ft.addrIx.local(uint64(a)))
+	pg := i / pagedCellsPerPage
+	ft.tick++
+	if pg >= len(ft.pages) || !ft.pages[pg].resident {
+		ft.faultPage(pg)
+	}
+	ft.pages[pg].touch = ft.tick
+	for i >= len(ft.cells) {
 		ft.cells = append(ft.cells, ftCell{})
 	}
-	c := &ft.cells[a]
+	c := &ft.cells[i]
 	if !c.seen {
 		c.seen = true
 		ft.cellCount++
@@ -265,7 +296,7 @@ func (ft *FastTrack) report(ev trace.Event, c *ftCell, prior access) {
 	ft.races = append(ft.races, report.Race{
 		First:    prior.toReport(ev.Addr),
 		Second:   second.toReport(ev.Addr),
-		Detector: ft.Name(),
+		Detector: ftReportName,
 		Seq:      ev.Seq,
 	})
 }

@@ -61,7 +61,11 @@ func Names() []string { return reg.Names() }
 
 func init() {
 	Register("fasttrack", func() Detector { return NewFastTrack() })
-	Register("fasttrack-paged", func() Detector { return NewPagedFastTrack() })
+	Register("fasttrack-paged", func() Detector {
+		ft := NewFastTrack()
+		ft.name = "fasttrack-paged"
+		return ft
+	})
 	Register("epoch", func() Detector { return NewEpoch() })
 	Register("djit", func() Detector { return NewDJIT() })
 	Register("eraser", func() Detector { return NewEraser() })

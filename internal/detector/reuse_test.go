@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gorace/internal/progen"
+	"gorace/internal/report/reporttest"
 	"gorace/internal/sched"
 	"gorace/internal/trace"
 	"gorace/internal/vclock"
@@ -30,15 +31,8 @@ func TestPooledFastTrackMatchesFresh(t *testing.T) {
 		pooled.Reset()
 		rec.Replay(pooled)
 
-		fr, pr := fresh.Races(), pooled.Races()
-		if len(fr) != len(pr) {
-			t.Fatalf("seed %d: fresh %d races, pooled %d", seed, len(fr), len(pr))
-		}
-		for i := range fr {
-			if fr[i].Hash() != pr[i].Hash() {
-				t.Fatalf("seed %d: report %d differs:\nfresh:  %s\npooled: %s",
-					seed, i, fr[i], pr[i])
-			}
+		if d := reporttest.Diff(pooled.Races(), fresh.Races()); d != "" {
+			t.Fatalf("seed %d: pooled vs fresh: %s", seed, d)
 		}
 		fs, ps := fresh.Stats(), pooled.Stats()
 		if fs != ps {
@@ -72,14 +66,8 @@ func TestPooledDetectorsMatchFreshOnRandomEventStreams(t *testing.T) {
 			for _, ev := range events {
 				pooled.HandleEvent(ev)
 			}
-			fr, pr := fresh.Races(), pooled.Races()
-			if len(fr) != len(pr) {
-				t.Fatalf("%s seed %d: fresh %d races, pooled %d", name, seed, len(fr), len(pr))
-			}
-			for i := range fr {
-				if fr[i].Hash() != pr[i].Hash() {
-					t.Fatalf("%s seed %d: report %d differs", name, seed, i)
-				}
+			if d := reporttest.Diff(pooled.Races(), fresh.Races()); d != "" {
+				t.Fatalf("%s seed %d: pooled vs fresh: %s", name, seed, d)
 			}
 			if fs, ps := fresh.Stats(), pooled.Stats(); fs != ps {
 				t.Fatalf("%s seed %d: stats differ:\nfresh:  %s\npooled: %s", name, seed, fs, ps)

@@ -52,8 +52,8 @@ type Stats struct {
 	// detector (fasttrack-paged): every cell on an evicted page loses
 	// its access history, so races against those prior accesses can no
 	// longer be reported — the documented soundness tradeoff of
-	// bounded-memory streaming (docs/STREAMING.md). Zero for unpaged
-	// detectors and for paged runs that never hit their budget.
+	// bounded-memory streaming (docs/STREAMING.md). Zero without a
+	// page budget and for runs that never exceed it.
 	Evictions int
 	// Reloads counts evicted pages that were re-faulted by a later
 	// access: the cells restart with empty (epoch-form) histories. A
@@ -112,8 +112,13 @@ func fill(s Stats, c statCounter, a adaptCounter) Stats {
 	return s
 }
 
-// Stats reports the FastTrack detector's work counters.
-func (ft *FastTrack) Stats() Stats { return ft.stats(ft.cellCount, len(ft.races)) }
+// Stats reports the FastTrack detector's work counters, eviction
+// tallies included.
+func (ft *FastTrack) Stats() Stats {
+	s := ft.stats(ft.cellCount, len(ft.races))
+	s.Evictions, s.Reloads = ft.evictions, ft.reloads
+	return s
+}
 
 // Stats reports the Epoch detector's work counters.
 func (e *Epoch) Stats() Stats { return e.stats(e.cellCount, e.count) }

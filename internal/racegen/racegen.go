@@ -40,7 +40,9 @@ import (
 // fasttrack is the reference; djit should agree on verdicts (same HB
 // relation); eraser's lockset view both over-reports (channel/WG
 // synchronized data) and under-reports (atomics, read-shared data);
-// fasttrack-paged diverges only when its page budget evicts state.
+// fasttrack-paged runs here as a sweep unit built from the registry,
+// so it has no page budget and is report-identical to fasttrack: it
+// duplicates the reference rather than exercising eviction.
 var Detectors = []string{"fasttrack", "djit", "eraser", "fasttrack-paged"}
 
 // Strategies is the schedule panel each candidate runs under.

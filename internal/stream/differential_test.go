@@ -9,23 +9,15 @@ import (
 	"gorace/internal/instrument"
 	"gorace/internal/progen"
 	_ "gorace/internal/progs" // registers the instrumented dogfood programs
-	"gorace/internal/report"
+	"gorace/internal/report/reporttest"
 	"gorace/internal/sched"
 	"gorace/internal/trace"
 )
 
-func raceHashes(races []report.Race) []string {
-	out := make([]string, len(races))
-	for i, r := range races {
-		out[i] = r.Hash()
-	}
-	return out
-}
-
 // streamDiff runs prog once with a batch detector and a recorder
 // attached, replays the recorded trace through the binary codec into
-// an unbounded Ingestor, and requires the ordered report-hash
-// sequences to be identical — streaming with no ceiling is batch
+// an unbounded Ingestor, and requires the ordered report sequences
+// to be identical — streaming with no ceiling is batch
 // detection, observed later.
 func streamDiff(t *testing.T, name string, prog func(*sched.G), seed int64) {
 	t.Helper()
@@ -58,15 +50,8 @@ func streamDiff(t *testing.T, name string, prog func(*sched.G), seed int64) {
 	if res.Events != uint64(len(rec.Events)) {
 		t.Fatalf("%s seed %d: ingested %d of %d events", name, seed, res.Events, len(rec.Events))
 	}
-	got, want := raceHashes(res.Races), raceHashes(batch.Races())
-	if len(got) != len(want) {
-		t.Fatalf("%s seed %d: streaming reported %d races, batch %d", name, seed, len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s seed %d: report %d diverged:\nstream %s\nbatch  %s",
-				name, seed, i, got[i], want[i])
-		}
+	if d := reporttest.Diff(res.Races, batch.Races()); d != "" {
+		t.Fatalf("%s seed %d: stream vs batch: %s", name, seed, d)
 	}
 	if res.Stats.Evictions != 0 || res.Stats.Reloads != 0 {
 		t.Fatalf("%s seed %d: unbounded ingest evicted (evictions=%d reloads=%d)",

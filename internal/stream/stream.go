@@ -11,7 +11,7 @@
 //   - the trace is retained as a per-goroutine window of recent events
 //     (trace.WindowRecorder), so a race that manifests mid-stream still
 //     emits a classify-able report without pinning the whole history;
-//   - shadow memory is paged and evictable (detector.Evictor, today
+//   - shadow memory is paged and evictable (detector.Evictor, run as
 //     fasttrack-paged): past the configured ceiling the
 //     least-recently-touched shadow pages are reclaimed. Eviction
 //     forgets access history, so races straddling an evicted page are

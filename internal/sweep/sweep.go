@@ -64,12 +64,6 @@ type Unit struct {
 	MaxSteps int
 	// Record keeps each run's event trace on its Outcome.
 	Record bool
-	// Window keeps only the most recent Window events per goroutine
-	// on each run's Outcome instead of a full recording
-	// (core.WithWindow) — bounded trace retention for long runs; a
-	// manifested race still carries classify-able recent context.
-	// Window > 0 overrides Record; 0 keeps full-trace semantics.
-	Window int
 	// SampleRate gates the detector behind a deterministic 1-in-N
 	// access-sampling filter (core.WithSampleRate). 0 or 1 means
 	// check every access.
@@ -416,10 +410,10 @@ func (e *Engine) RunContext(ctx context.Context, units []Unit, onProgress func(P
 // never shared across units. Being a plain comparable value, it costs
 // a shard nothing to build.
 type configKey struct {
-	detector, strategy           string
-	maxSteps, sampleRate, window int
-	record                       bool
-	factoryUnit                  int // unit index + 1 for factory-driven units, else 0
+	detector, strategy   string
+	maxSteps, sampleRate int
+	record               bool
+	factoryUnit          int // unit index + 1 for factory-driven units, else 0
 }
 
 func unitConfigKey(u *Unit, unitIdx int) configKey {
@@ -428,8 +422,7 @@ func unitConfigKey(u *Unit, unitIdx int) configKey {
 	}
 	return configKey{
 		detector: u.Detector, strategy: u.Strategy,
-		maxSteps: u.MaxSteps, sampleRate: u.SampleRate, window: u.Window,
-		record: u.Record,
+		maxSteps: u.MaxSteps, sampleRate: u.SampleRate, record: u.Record,
 	}
 }
 
@@ -451,7 +444,6 @@ func runShard(ctx context.Context, units []Unit, sh Shard, idx int, pool workerS
 			core.WithDetector(u.Detector),
 			core.WithMaxSteps(u.MaxSteps),
 			core.WithRecord(u.Record),
-			core.WithWindow(u.Window),
 			core.WithSampleRate(u.SampleRate),
 		}
 		if u.StrategyFactory != nil {

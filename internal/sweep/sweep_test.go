@@ -9,7 +9,6 @@ import (
 
 	"gorace/internal/patterns"
 	"gorace/internal/sched"
-	"gorace/internal/vclock"
 )
 
 func pat(t testing.TB, id string) patterns.Pattern {
@@ -162,42 +161,6 @@ func TestFirstRaceAndHaltOnRace(t *testing.T) {
 	}
 	if _, ok := fr.Outcome(1); ok {
 		t.Fatal("phantom unit outcome")
-	}
-}
-
-// TestWindowUnitBoundsRetainedTrace pins the Window unit mode: a
-// windowed unit's outcome trace holds at most Window events per
-// goroutine, yet a manifested race still arrives with enough recent
-// context to be retained at all — bounded retention, not no retention.
-func TestWindowUnitBoundsRetainedTrace(t *testing.T) {
-	racy := pat(t, "capture-loop-index")
-	units := []Unit{{
-		ID: "windowed", Program: racy.Racy, Runs: 60, MaxSteps: 1 << 16,
-		Window: 4, HaltOnRace: true,
-	}}
-	aggs, _, err := New(WithParallelism(2)).Run(units,
-		func() Aggregator { return NewFirstRace() })
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, ok := aggs[0].(*FirstRace).Outcome(0)
-	if !ok {
-		t.Fatal("race never manifested across 60 seeds")
-	}
-	if !out.HasRace() || out.Trace == nil {
-		t.Fatalf("windowed racy outcome incomplete: races=%d trace=%v", len(out.Races), out.Trace != nil)
-	}
-	perG := make(map[vclock.TID]int)
-	for _, ev := range out.Trace.Events {
-		perG[ev.G]++
-	}
-	for g, n := range perG {
-		if n > 4 {
-			t.Fatalf("goroutine %d retained %d events, window is 4", g, n)
-		}
-	}
-	if len(out.Trace.Events) == 0 {
-		t.Fatal("window retained nothing")
 	}
 }
 

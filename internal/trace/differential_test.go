@@ -6,12 +6,13 @@ import (
 
 	"gorace/internal/detector"
 	"gorace/internal/progen"
+	"gorace/internal/report/reporttest"
 	"gorace/internal/sched"
 	"gorace/internal/trace"
 )
 
 // recordProgen runs one random program live under FastTrack while
-// recording, returning the live reports' hashes and the recording.
+// recording, returning the live reports' keys and the recording.
 func recordProgen(t testing.TB, seed int64) ([]string, *trace.Recorder) {
 	t.Helper()
 	prog := progen.Generate(seed, progen.Params{})
@@ -21,15 +22,7 @@ func recordProgen(t testing.TB, seed int64) ([]string, *trace.Recorder) {
 		Strategy: sched.NewRandom(), Seed: seed, MaxSteps: 1 << 18,
 		Listeners: []trace.Listener{det, rec},
 	})
-	return raceHashes(det), rec
-}
-
-func raceHashes(det detector.Detector) []string {
-	var out []string
-	for _, r := range det.Races() {
-		out = append(out, r.Hash())
-	}
-	return out
+	return reporttest.Keys(det.Races()), rec
 }
 
 // TestCodecReplayMatchesLiveDetection is the codec's end-to-end
@@ -53,7 +46,7 @@ func TestCodecReplayMatchesLiveDetection(t *testing.T) {
 		}
 		offline := detector.NewFastTrack()
 		loaded.Replay(offline)
-		replayed := raceHashes(offline)
+		replayed := reporttest.Keys(offline.Races())
 
 		if len(live) != len(replayed) {
 			t.Fatalf("seed %d: live detection %d races, replay-through-codec %d",
@@ -61,7 +54,7 @@ func TestCodecReplayMatchesLiveDetection(t *testing.T) {
 		}
 		for i := range live {
 			if live[i] != replayed[i] {
-				t.Fatalf("seed %d: race %d hash diverged: live %s, replayed %s",
+				t.Fatalf("seed %d: race %d diverged: live %s, replayed %s",
 					seed, i, live[i], replayed[i])
 			}
 		}

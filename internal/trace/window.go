@@ -33,9 +33,6 @@ func NewWindowRecorder(perG int) *WindowRecorder {
 	return &WindowRecorder{perG: perG, gs: make(map[vclock.TID]*eventRing)}
 }
 
-// PerG returns the per-goroutine window size.
-func (w *WindowRecorder) PerG() int { return w.perG }
-
 // HandleEvent implements Listener.
 func (w *WindowRecorder) HandleEvent(ev Event) {
 	rg := w.gs[ev.G]
@@ -78,18 +75,4 @@ func (w *WindowRecorder) Events() []Event {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
-}
-
-// Snapshot returns the merged window as a Recorder the caller owns.
-func (w *WindowRecorder) Snapshot() *Recorder {
-	return &Recorder{Events: w.Events()}
-}
-
-// Reset empties every window in place, keeping ring capacity, so one
-// recorder serves many runs.
-func (w *WindowRecorder) Reset() {
-	for _, rg := range w.gs {
-		rg.buf = rg.buf[:0]
-		rg.next = 0
-	}
 }
